@@ -21,6 +21,7 @@ std::chrono::steady_clock::time_point deadline_after(double wall_seconds) {
 ThreadBackend::ThreadBackend(const gridsim::Grid& grid, Params params)
     : grid_(&grid),
       params_(params),
+      clock_scale_(params.time_scale > 0.0 ? params.time_scale : 1.0),
       epoch_(std::chrono::steady_clock::now()) {
   node_queues_.reserve(grid.node_count());
   for (std::size_t i = 0; i < grid.node_count(); ++i) {
@@ -59,7 +60,7 @@ Seconds ThreadBackend::now() const {
   const auto elapsed = std::chrono::steady_clock::now() - epoch_;
   const double wall = std::chrono::duration<double>(elapsed).count();
   // Report in *virtual* seconds so engines see one time base everywhere.
-  return Seconds{wall / params_.time_scale};
+  return Seconds{wall / clock_scale_};
 }
 
 void ThreadBackend::enqueue(WorkerQueue& queue, Job job) {
@@ -118,7 +119,7 @@ void ThreadBackend::submit_timer(OpToken token, Seconds delay) {
   {
     const std::lock_guard<std::mutex> lock(timer_mutex_);
     timer_heap_.push_back(TimerEntry{
-        deadline_after(delay.value * params_.time_scale), timer_seq_++, token,
+        deadline_after(delay.value * clock_scale_), timer_seq_++, token,
         started});
     std::push_heap(timer_heap_.begin(), timer_heap_.end(), TimerLater{});
     timer_cv_.notify_one();
@@ -202,7 +203,7 @@ void ThreadBackend::worker_loop(WorkerQueue& queue) {
     // queue's condition variable, so the destructor can interrupt a stalled
     // op instead of sleeping out its modelled duration.
     const double wall_budget = job.model_duration.value * params_.time_scale;
-    const double wall_used = (now() - started).value * params_.time_scale;
+    const double wall_used = (now() - started).value * clock_scale_;
     lock.lock();
     if (wall_budget > wall_used) {
       const bool interrupted =

@@ -31,6 +31,8 @@ class ThreadBackend final : public Backend {
  public:
   struct Params {
     /// Wall seconds per virtual second (1e-3: 1000x faster than modelled).
+    /// 0 drops the modelled waits: ops finish as fast as their bodies run,
+    /// while the clock and timers keep running at wall speed.
     double time_scale = 1e-3;
     /// Run attached task bodies (real user work) before the scaled sleep.
     bool run_bodies = true;
@@ -87,6 +89,8 @@ class ThreadBackend final : public Backend {
 
   const gridsim::Grid* grid_;
   Params params_;
+  /// Wall seconds per virtual second on the clock and timers.
+  double clock_scale_;
   std::chrono::steady_clock::time_point epoch_;
 
   std::vector<std::unique_ptr<WorkerQueue>> node_queues_;  // one per node

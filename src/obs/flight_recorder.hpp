@@ -12,7 +12,7 @@
 // --smoke gate, or an explicit dump().
 //
 // Notes take a mutex: they are rare (per-event, never per-task) and the
-// recorder may be shared across GridService job threads, so correctness
+// recorder may be shared by engines on different threads, so correctness
 // beats the nanoseconds.  Event strings must be static-lifetime literals,
 // mirroring SpanRecord's contract.
 #pragma once

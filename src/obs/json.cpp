@@ -83,11 +83,14 @@ class Parser {
     }
   }
 
+  // Containers are returned built in place: destroying a moved-from
+  // JsonValue temporary here trips gcc 12's -Wmaybe-uninitialized.
   std::optional<JsonValue> parse_object() {
     ++pos_;  // '{'
     JsonObject obj;
     skip_ws();
-    if (consume('}')) return JsonValue(std::move(obj));
+    if (consume('}'))
+      return std::optional<JsonValue>(std::in_place, std::move(obj));
     while (true) {
       skip_ws();
       if (at_end() || text_[pos_] != '"') {
@@ -106,7 +109,8 @@ class Parser {
       obj.insert_or_assign(std::move(*key), std::move(*value));
       skip_ws();
       if (consume(',')) continue;
-      if (consume('}')) return JsonValue(std::move(obj));
+      if (consume('}'))
+        return std::optional<JsonValue>(std::in_place, std::move(obj));
       fail("expected ',' or '}' in object");
       return std::nullopt;
     }
@@ -116,14 +120,16 @@ class Parser {
     ++pos_;  // '['
     JsonArray arr;
     skip_ws();
-    if (consume(']')) return JsonValue(std::move(arr));
+    if (consume(']'))
+      return std::optional<JsonValue>(std::in_place, std::move(arr));
     while (true) {
       std::optional<JsonValue> value = parse_value();
       if (!value) return std::nullopt;
       arr.push_back(std::move(*value));
       skip_ws();
       if (consume(',')) continue;
-      if (consume(']')) return JsonValue(std::move(arr));
+      if (consume(']'))
+        return std::optional<JsonValue>(std::in_place, std::move(arr));
       fail("expected ',' or ']' in array");
       return std::nullopt;
     }

@@ -12,8 +12,9 @@
 // calibration) but still publish their fresh measurements here.
 //
 // Entries expire after `max_age`: grid load drifts, so a stale spm is
-// worse than a probe.  Thread-safe — concurrent tenants calibrate from
-// their own job threads.
+// worse than a probe.  Thread-safe, so one cache can also back engines
+// running on different threads (a GridService's tenants all share its
+// client thread).
 #pragma once
 
 #include <mutex>

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "obs/flight_recorder.hpp"
+#include "support/fiber.hpp"
 #include "svc/fair_share.hpp"
 
 namespace grasp::svc {
@@ -47,7 +48,6 @@ GridService::GridService(core::Backend& backend, const gridsim::Grid& grid,
 }
 
 GridService::~GridService() {
-  std::unique_lock<std::mutex> lk(mu_);
   // Scheduled arrivals die with the service.
   for (const auto& [token, job] : pending_arrivals_)
     backend_.cancel_timer(token);
@@ -55,19 +55,10 @@ GridService::~GridService() {
   // Queued jobs never ran; drop them (their handles stay Queued).
   queue_.clear();
   // Running engines observe a premature end-of-stream: sticky nullopt,
-  // one turn each, until every thread has unwound.
-  for (;;) {
-    reap(lk);
-    if (running_.empty()) break;
-    detail::JobState* victim = nullptr;
-    for (const auto& job : running_)
-      if (job->blocked) {
-        victim = job.get();
-        break;
-      }
-    if (victim == nullptr) break;  // unreachable under the turn protocol
-    victim->deliver_nullopt = true;
-    grant_turn(lk, *victim);
+  // one turn each, until every fiber has unwound and been released.
+  for (reap(); !running_.empty(); reap()) {
+    running_.front()->deliver_nullopt = true;
+    grant_turn(*running_.front());
   }
 }
 
@@ -99,7 +90,6 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
   if (!(options.max_share > 0.0) || options.max_share > 1.0)
     throw std::invalid_argument("GridService: max_share must be in (0, 1]");
 
-  std::unique_lock<std::mutex> lk(mu_);
   auto job = std::make_shared<detail::JobState>();
   job->seq = next_seq_++;
   job->name = options.name.empty() ? "job-" + std::to_string(job->seq)
@@ -129,6 +119,7 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
     }
   }
   all_jobs_.push_back(job);
+  ++live_jobs_;
   if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.submitted);
 
   if (when.has_value()) {
@@ -146,20 +137,18 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
   // inline fast path; admit whatever actually fits before judging this
   // submit against the queue bound, so deferred-but-admissible jobs do
   // not count as backlog.
-  if (!queue_.empty()) try_admit(lk);
+  if (!queue_.empty()) try_admit();
   if (queue_.size() >= params_.max_queued_jobs) {
-    job->status = JobStatus::Rejected;
-    ++rejected_;
-    if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.rejected);
+    reject(*job);
     return JobHandle(job);
   }
   job->submitted_at = backend_.now();
   queue_.push_back(job);
   update_gauges();
   // A lone job is left queued so wait() can take the inline fast path;
-  // anything else is admitted eagerly (engine threads start and park on
+  // anything else is admitted eagerly (engine fibers start and park on
   // their first wait_next).
-  if (!inline_eligible()) try_admit(lk);
+  if (!inline_eligible()) try_admit();
   return JobHandle(job);
 }
 
@@ -168,24 +157,14 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
 void GridService::wait(const JobHandle& handle) {
   if (!handle.valid())
     throw std::invalid_argument("GridService::wait: invalid handle");
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const auto& state = *handle.state_;
-    pump_until(lk, [&] { return terminal(state.status); });
-    if (state.status == JobStatus::Failed) error = state.error;
-  }
-  if (error) std::rethrow_exception(error);
+  const auto& state = *handle.state_;
+  pump_until([&] { return terminal(state.status); });
+  if (state.status == JobStatus::Failed && state.error)
+    std::rethrow_exception(state.error);
 }
 
 void GridService::wait_all() {
-  std::unique_lock<std::mutex> lk(mu_);
-  pump_until(lk, [&] {
-    if (!pending_arrivals_.empty()) return false;
-    for (const auto& job : all_jobs_)
-      if (!terminal(job->status)) return false;
-    return true;
-  });
+  pump_until([&] { return pending_arrivals_.empty() && live_jobs_ == 0; });
 }
 
 // -------------------------------------------------------- scheduler core
@@ -195,17 +174,16 @@ bool GridService::inline_eligible() const {
          queue_.size() == 1 && pending_arrivals_.empty();
 }
 
-void GridService::pump_until(std::unique_lock<std::mutex>& lk,
-                             const std::function<bool()>& done) {
+void GridService::pump_until(const std::function<bool()>& done) {
   for (;;) {
-    reap(lk);
+    reap();
     if (done()) return;
     if (inline_eligible()) {
-      run_inline(lk);
+      run_inline();
       continue;
     }
-    try_admit(lk);
-    reap(lk);  // an admitted engine may run to completion on its first turn
+    try_admit();
+    reap();  // an admitted engine may run to completion on its first turn
     if (done()) return;
     if (running_.empty() && pending_arrivals_.empty()) {
       // Nothing can make progress: the predicate waits on a job that is
@@ -215,23 +193,18 @@ void GridService::pump_until(std::unique_lock<std::mutex>& lk,
       // a pending predicate means the caller waits on a dropped job.
       return;
     }
-    if (!pump_one(lk)) {
+    if (!pump_one()) {
       // Backend has nothing in flight but live jobs remain — deliver the
-      // end-of-stream verdict so their engines can unwind.
-      bool progressed = false;
-      for (const auto& job : running_) {
-        if (!job->blocked) continue;
-        job->deliver_nullopt = true;
-        grant_turn(lk, *job);
-        progressed = true;
-        break;
-      }
-      if (!progressed) return;
+      // end-of-stream verdict so their engines can unwind.  Every running
+      // job is parked here: reap() just released the finished ones.
+      if (running_.empty()) return;
+      running_.front()->deliver_nullopt = true;
+      grant_turn(*running_.front());
     }
   }
 }
 
-bool GridService::pump_one(std::unique_lock<std::mutex>& lk) {
+bool GridService::pump_one() {
   auto completion = backend_.wait_next();
   if (!completion.has_value()) return false;
   const std::uint64_t seq = detail::seq_of(completion->token);
@@ -242,9 +215,7 @@ bool GridService::pump_one(std::unique_lock<std::mutex>& lk) {
     const StatePtr job = it->second;
     pending_arrivals_.erase(it);
     if (queue_.size() >= params_.max_queued_jobs) {
-      job->status = JobStatus::Rejected;
-      ++rejected_;
-      if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.rejected);
+      reject(*job);
       return true;
     }
     job->submitted_at = backend_.now();
@@ -256,11 +227,11 @@ bool GridService::pump_one(std::unique_lock<std::mutex>& lk) {
   if (owner == nullptr) return true;  // tenant retired: swallow the zombie
   completion->token = detail::to_local(completion->token);
   owner->inbox.push_back(*completion);
-  if (owner->blocked) grant_turn(lk, *owner);
+  grant_turn(*owner);
   return true;
 }
 
-void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
+void GridService::try_admit() {
   const Seconds now = backend_.now();
   invalidate_departed(now);
   // Allocate only over live members: handing a crashed/departed node to a
@@ -277,7 +248,7 @@ void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
     if (pool_.empty()) {
       // Let the engine issue its own empty-pool diagnosis.
       queue_.pop_front();
-      start_job(lk, job, {});
+      start_job(job, {});
       continue;
     }
     if (live.empty()) break;  // nobody alive: the head waits for a rejoin
@@ -307,7 +278,7 @@ void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
                      params_.cap_share_to_free});
     if (allocation.empty()) break;  // head-of-line waits: FIFO, no skipping
     queue_.pop_front();
-    start_job(lk, job, std::move(allocation));
+    start_job(job, std::move(allocation));
   }
   update_gauges();
 }
@@ -332,8 +303,7 @@ double GridService::capacity_mops(NodeId node) const {
   return grid_.node(node).base_speed_mops();
 }
 
-void GridService::start_job(std::unique_lock<std::mutex>& lk,
-                            const StatePtr& job,
+void GridService::start_job(const StatePtr& job,
                             std::vector<NodeId> allocation) {
   job->status = JobStatus::Running;
   job->started_at = backend_.now();
@@ -342,12 +312,17 @@ void GridService::start_job(std::unique_lock<std::mutex>& lk,
   running_.push_back(job);
   peak_running_ = std::max(peak_running_, running_.size());
   update_gauges();
-  job->thread = std::thread([this, job] { job_thread_main(job); });
+  // The entry holds a raw pointer: the fiber lives inside the job, so a
+  // shared owner here would be a cycle.
+  job->fiber = std::make_unique<Fiber>([this, state = job.get()] {
+    detail::JobBackend proxy(*this, *state);
+    execute_guarded(*state, proxy);
+  });
   // First turn: the engine runs until it parks in wait_next (or exits).
-  grant_turn(lk, *job);
+  grant_turn(*job);
 }
 
-void GridService::run_inline(std::unique_lock<std::mutex>& lk) {
+void GridService::run_inline() {
   const StatePtr job = queue_.front();
   queue_.pop_front();
   job->status = JobStatus::Running;
@@ -357,44 +332,31 @@ void GridService::run_inline(std::unique_lock<std::mutex>& lk) {
   running_.push_back(job);
   peak_running_ = std::max(peak_running_, running_.size());
   update_gauges();
-  lk.unlock();  // no other actor exists; the engine owns the backend
-  try {
-    execute(*job, backend_);
-  } catch (...) {
-    job->error = std::current_exception();
-    try {
-      std::rethrow_exception(job->error);
-    } catch (const std::exception& e) {
-      job->error_message = e.what();
-    } catch (...) {
-      job->error_message = "unknown exception";
-    }
-  }
-  lk.lock();
+  execute_guarded(*job, backend_);  // the engine owns the real backend
   running_.erase(std::find(running_.begin(), running_.end(), job));
   finalize(job);
 }
 
-void GridService::grant_turn(std::unique_lock<std::mutex>& lk,
-                             detail::JobState& job) {
-  turn_ = job.seq;
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return turn_ == 0; });
-}
+void GridService::grant_turn(detail::JobState& job) { job.fiber->resume(); }
 
-void GridService::reap(std::unique_lock<std::mutex>& lk) {
-  (void)lk;
+void GridService::reap() {
   for (std::size_t i = 0; i < running_.size();) {
     const StatePtr job = running_[i];
-    if (!job->thread_done) {
+    if (!job->fiber->finished()) {
       ++i;
       continue;
     }
-    // The thread's final act was releasing the mutex; join is prompt.
-    if (job->thread.joinable()) job->thread.join();
+    job->fiber.reset();  // release the stack
     running_.erase(running_.begin() + i);
     finalize(job);
   }
+}
+
+void GridService::reject(detail::JobState& job) {
+  job.status = JobStatus::Rejected;
+  --live_jobs_;
+  ++rejected_;
+  if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.rejected);
 }
 
 void GridService::finalize(const StatePtr& job) {
@@ -402,6 +364,7 @@ void GridService::finalize(const StatePtr& job) {
   const bool ok =
       job->farm_report.has_value() || job->pipeline_report.has_value();
   job->status = ok ? JobStatus::Completed : JobStatus::Failed;
+  --live_jobs_;
   if (ok)
     ++completed_;
   else
@@ -451,30 +414,20 @@ void GridService::finalize(const StatePtr& job) {
   update_gauges();
 }
 
-void GridService::job_thread_main(StatePtr job) {
-  {
-    // Do nothing — not even engine construction — before the first turn
-    // grant: the admitting thread still owns the backend until then.
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return turn_ == job->seq; });
-  }
-  detail::JobBackend proxy(*this, *job);
+void GridService::execute_guarded(detail::JobState& job,
+                                  core::Backend& backend) {
   try {
-    execute(*job, proxy);
+    execute(job, backend);
   } catch (...) {
-    job->error = std::current_exception();
+    job.error = std::current_exception();
     try {
-      std::rethrow_exception(job->error);
+      std::rethrow_exception(job.error);
     } catch (const std::exception& e) {
-      job->error_message = e.what();
+      job.error_message = e.what();
     } catch (...) {
-      job->error_message = "unknown exception";
+      job.error_message = "unknown exception";
     }
   }
-  const std::lock_guard<std::mutex> lk(mu_);
-  job->thread_done = true;
-  turn_ = 0;
-  cv_.notify_all();
 }
 
 void GridService::execute(detail::JobState& job, core::Backend& backend) {
@@ -528,48 +481,7 @@ void GridService::update_gauges() {
 
 // ------------------------------------------------------------ inspection
 
-std::size_t GridService::jobs_submitted() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return all_jobs_.size();
-}
-
-std::size_t GridService::jobs_completed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
-}
-
-std::size_t GridService::jobs_failed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return failed_;
-}
-
-std::size_t GridService::jobs_rejected() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
-}
-
-std::size_t GridService::jobs_running() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return running_.size();
-}
-
-std::size_t GridService::jobs_queued() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-std::size_t GridService::max_concurrent_observed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return peak_running_;
-}
-
-std::size_t GridService::min_nodes_reclamps() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return min_nodes_reclamps_;
-}
-
 std::vector<JobHandle> GridService::jobs() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::vector<JobHandle> handles;
   handles.reserve(all_jobs_.size());
   for (const auto& job : all_jobs_) handles.push_back(JobHandle(job));

@@ -12,38 +12,33 @@
 // CalibrationParams, so one tenant's Algorithm-1 measurements warm the
 // next tenant's start.
 //
-// Execution model — the service has no thread of its own.  The caller's
-// thread becomes the scheduler whenever it is inside wait()/wait_all(),
-// and each *running* job owns one engine thread driving the unmodified
-// run_engine loop against a JobBackend proxy.  Determinism is preserved
-// by a strict turn-based handoff: a single token (`turn_`: 0 = the
-// service, else a job's seq) says who may run; everyone else is parked
-// on the condition variable.  The service pumps the real backend one
-// completion at a time, routes it to its owner's inbox and hands the
-// turn over; the engine runs until it blocks in wait_next again, handing
-// the turn back.  Exactly one actor touches the backend at any moment
-// and every handoff is an acquire/release pair on the one mutex, so runs
-// are deterministic and TSan-clean.
+// Execution model — the service owns no thread; everything runs on the
+// client thread.  That thread becomes the scheduler whenever it is inside
+// wait()/wait_all(), and each *running* job drives the unmodified
+// run_engine loop on its own fiber (support/fiber.hpp) against a
+// JobBackend proxy.  The service pumps the real backend one completion at
+// a time, routes it to its owner's inbox and switches into the owner's
+// fiber; the engine runs until it parks in wait_next again, which switches
+// back.  Exactly one actor runs at any moment and every handoff is a
+// user-space context swap, so runs are deterministic by construction and
+// a handoff costs no kernel wakeup.
 //
 // Inline fast path: with exactly one live job, no scheduled arrivals and
-// force_threaded off, the service skips threads entirely and runs the
-// engine inline on the caller's thread against the real backend — zero
+// force_threaded off, the service skips fibers entirely and runs the
+// engine inline on the caller's stack against the real backend — zero
 // overhead, observably identical to calling run_engine directly.  This
 // is what makes TaskFarm::run / Pipeline::run thin wrappers over a
 // private single-tenant service without perturbing a single test.
 //
-// Thread-safety: all public methods must be called from one client
-// thread (the engine threads are an implementation detail).  JobHandle
-// accessors are exact once the handle is terminal and the service has
-// quiesced.
+// Thread-safety: none.  All public methods must be called from one client
+// thread, the one the engine fibers run on.  JobHandle accessors are exact
+// once the handle is terminal and the service has quiesced.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <variant>
@@ -88,8 +83,8 @@ class GridService {
     /// a job retires; per-tenant engine rules go through JobOptions::slos
     /// instead.  All-zero disables it.
     obs::SloRules slos;
-    /// Disable the single-job inline fast path (tests: forces the
-    /// threaded protocol even for one tenant).
+    /// Disable the single-job inline fast path (tests: forces the fiber
+    /// protocol even for one tenant).
     bool force_threaded = false;
   };
 
@@ -130,18 +125,22 @@ class GridService {
   [[nodiscard]] CalibrationCache& calibration_cache() { return cache_; }
   [[nodiscard]] const std::vector<NodeId>& pool() const { return pool_; }
 
-  [[nodiscard]] std::size_t jobs_submitted() const;
-  [[nodiscard]] std::size_t jobs_completed() const;
-  [[nodiscard]] std::size_t jobs_failed() const;
-  [[nodiscard]] std::size_t jobs_rejected() const;
-  [[nodiscard]] std::size_t jobs_running() const;
-  [[nodiscard]] std::size_t jobs_queued() const;
+  [[nodiscard]] std::size_t jobs_submitted() const { return all_jobs_.size(); }
+  [[nodiscard]] std::size_t jobs_completed() const { return completed_; }
+  [[nodiscard]] std::size_t jobs_failed() const { return failed_; }
+  [[nodiscard]] std::size_t jobs_rejected() const { return rejected_; }
+  [[nodiscard]] std::size_t jobs_running() const { return running_.size(); }
+  [[nodiscard]] std::size_t jobs_queued() const { return queue_.size(); }
   /// Peak number of simultaneously running jobs over the service's life —
   /// the multi-tenancy witness the bench smoke gate asserts on.
-  [[nodiscard]] std::size_t max_concurrent_observed() const;
+  [[nodiscard]] std::size_t max_concurrent_observed() const {
+    return peak_running_;
+  }
   /// Times a queued head job's min_nodes was re-clamped because churn
   /// shrank live membership below it (head-of-line anti-starvation).
-  [[nodiscard]] std::size_t min_nodes_reclamps() const;
+  [[nodiscard]] std::size_t min_nodes_reclamps() const {
+    return min_nodes_reclamps_;
+  }
   /// Every handle ever produced, in submission order.
   [[nodiscard]] std::vector<JobHandle> jobs() const;
 
@@ -158,18 +157,21 @@ class GridService {
   /// job's engine params (in place, pre-run).
   void prepare_params(detail::JobState& job);
 
-  // Scheduler core; every method below requires mu_ held via `lk` and the
-  // service turn (turn_ == 0).
-  void pump_until(std::unique_lock<std::mutex>& lk,
-                  const std::function<bool()>& done);
-  bool pump_one(std::unique_lock<std::mutex>& lk);
-  void try_admit(std::unique_lock<std::mutex>& lk);
-  void start_job(std::unique_lock<std::mutex>& lk, const StatePtr& job,
-                 std::vector<NodeId> allocation);
-  void run_inline(std::unique_lock<std::mutex>& lk);
-  void reap(std::unique_lock<std::mutex>& lk);
+  /// execute() with every exception captured into the job's error fields.
+  void execute_guarded(detail::JobState& job, core::Backend& backend);
+
+  // Scheduler core; every method below runs on the service side, with no
+  // engine fiber active.
+  void pump_until(const std::function<bool()>& done);
+  bool pump_one();
+  void try_admit();
+  void start_job(const StatePtr& job, std::vector<NodeId> allocation);
+  void run_inline();
+  void reap();
+  void reject(detail::JobState& job);
   void finalize(const StatePtr& job);
-  void grant_turn(std::unique_lock<std::mutex>& lk, detail::JobState& job);
+  /// Switch into the job's fiber until it parks in wait_next or finishes.
+  void grant_turn(detail::JobState& job);
   [[nodiscard]] bool inline_eligible() const;
   [[nodiscard]] StatePtr find_running(std::uint64_t seq) const;
   [[nodiscard]] double capacity_mops(NodeId node) const;
@@ -178,8 +180,6 @@ class GridService {
   /// timeline or with the cache disabled.
   void invalidate_departed(Seconds now);
   void update_gauges();
-
-  void job_thread_main(StatePtr job);
 
   core::Backend& backend_;
   const gridsim::Grid& grid_;
@@ -197,13 +197,10 @@ class GridService {
   /// only when params.slos has a bound set and a telemetry sink exists.
   std::optional<obs::Watchdog> watchdog_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  /// Whose move it is: 0 = the service loop, else a job's seq.
-  std::uint64_t turn_ = 0;
-
   std::uint64_t next_seq_ = 1;
   std::vector<StatePtr> all_jobs_;
+  /// Jobs in all_jobs_ that are not terminal yet (wait_all's predicate).
+  std::size_t live_jobs_ = 0;
   std::deque<StatePtr> queue_;
   std::vector<StatePtr> running_;
   std::unordered_map<core::OpToken, StatePtr> pending_arrivals_;

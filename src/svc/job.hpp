@@ -7,11 +7,10 @@
 // to completion; the JobHandle returned by submit() is the caller's view
 // of that lifecycle.
 //
-// detail::JobState is the service-side record.  Mutation discipline: the
-// service thread owns lifecycle fields under the service mutex; the
-// threaded-mode plumbing block is shared between the job's engine thread
-// and the service loop, always under that same mutex (see GridService for
-// the turn-based handoff protocol that makes this deterministic).
+// detail::JobState is the service-side record.  Everything in it lives on
+// the client thread: the service loop owns the lifecycle fields, and the
+// fiber-mode plumbing block is shared with the job's engine fiber, which
+// only runs while the service loop is switched out (see GridService).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -31,6 +29,10 @@
 #include "resil/failure_detector.hpp"
 #include "support/ids.hpp"
 #include "workloads/task.hpp"
+
+namespace grasp {
+class Fiber;
+}  // namespace grasp
 
 namespace grasp::svc {
 
@@ -103,7 +105,7 @@ struct JobState {
   double max_share = 1.0;
   std::variant<FarmJob, PipelineJob> spec;
 
-  // ---- lifecycle (service under its mutex; stable once terminal) ----
+  // ---- lifecycle (service loop; stable once terminal) ----
   JobStatus status = JobStatus::Queued;
   Seconds submitted_at{0.0};
   Seconds started_at{0.0};
@@ -116,16 +118,15 @@ struct JobState {
 
   // ---- telemetry ----
   // Where the engine records.  Points at the job's own params.telemetry
-  // when the caller supplied one; otherwise, in threaded mode, at a
+  // when the caller supplied one; otherwise, in fiber mode, at a
   // private per-job instance whose contents the service imports into its
   // shared registry when the job retires.
   obs::Telemetry* telemetry = nullptr;
   std::unique_ptr<obs::Telemetry> own_telemetry;
 
-  // ---- threaded-mode plumbing (service mutex; see grid_service.cpp) ----
-  std::thread thread;
-  bool thread_done = false;      ///< engine returned or threw
-  bool blocked = false;          ///< parked inside JobBackend::wait_next
+  // ---- fiber-mode plumbing (see grid_service.cpp) ----
+  /// The engine's stack; finished once the engine returned or threw.
+  std::unique_ptr<Fiber> fiber;
   bool deliver_nullopt = false;  ///< next wait_next resolves to nullopt
   std::deque<core::Completion> inbox;  ///< routed, undelivered completions
   std::size_t outstanding = 0;     ///< non-timer ops submitted, undelivered

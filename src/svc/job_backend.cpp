@@ -2,26 +2,15 @@
 
 #include <algorithm>
 
+#include "support/fiber.hpp"
 #include "svc/grid_service.hpp"
 
 namespace grasp::svc::detail {
 
-// Every method serialises on the service mutex.  That is cheap here, not
-// contended: the turn protocol guarantees the owning engine thread is the
-// only live actor while these run (the service loop and all other job
-// threads are parked on the condition variable), so the lock is taken
-// uncontended — it exists for the acquire/release edges that make each
-// turn handoff a happens-before, which is what keeps the whole service
-// TSan-clean and deterministic.
-
-Seconds JobBackend::now() const {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
-  return service_.backend_.now();
-}
+Seconds JobBackend::now() const { return service_.backend_.now(); }
 
 void JobBackend::submit_compute(core::OpToken token, NodeId node, Mops work,
                                 std::function<void()> body) {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   ++job_.outstanding;
   service_.backend_.submit_compute(to_global(job_.seq, token), node, work,
                                    std::move(body));
@@ -29,20 +18,17 @@ void JobBackend::submit_compute(core::OpToken token, NodeId node, Mops work,
 
 void JobBackend::submit_transfer(core::OpToken token, NodeId from, NodeId to,
                                  Bytes payload) {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   ++job_.outstanding;
   service_.backend_.submit_transfer(to_global(job_.seq, token), from, to,
                                     payload);
 }
 
 void JobBackend::submit_timer(core::OpToken token, Seconds delay) {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   ++job_.pending_timers;
   service_.backend_.submit_timer(to_global(job_.seq, token), delay);
 }
 
 bool JobBackend::cancel_timer(core::OpToken token) {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   // The firing may already have been routed to the inbox; purging it
   // there preserves the contract that a cancelled timer's completion is
   // never delivered, fired or not.
@@ -63,7 +49,6 @@ bool JobBackend::cancel_timer(core::OpToken token) {
 }
 
 void JobBackend::submit_batch(std::vector<core::OpRequest> requests) {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   for (core::OpRequest& r : requests) {
     if (r.kind == core::OpRequest::Kind::Timer)
       ++job_.pending_timers;
@@ -75,12 +60,10 @@ void JobBackend::submit_batch(std::vector<core::OpRequest> requests) {
 }
 
 double JobBackend::compute_progress(core::OpToken token) const {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   return service_.backend_.compute_progress(to_global(job_.seq, token));
 }
 
 std::optional<core::Completion> JobBackend::wait_next() {
-  std::unique_lock<std::mutex> lock(service_.mu_);
   for (;;) {
     if (job_.deliver_nullopt) return std::nullopt;  // service shutdown
     if (!job_.inbox.empty()) {
@@ -97,18 +80,15 @@ std::optional<core::Completion> JobBackend::wait_next() {
     // engine deadlock-detection path).
     if (job_.outstanding == 0 && job_.pending_timers == 0)
       return std::nullopt;
-    // Park: hand the turn to the service loop, wake when it routes a
-    // completion to this job and grants the turn back.
-    job_.blocked = true;
-    service_.turn_ = 0;
-    service_.cv_.notify_all();
-    service_.cv_.wait(lock, [&] { return service_.turn_ == job_.seq; });
-    job_.blocked = false;
+    // Park: switch back to the service loop, which resumes this fiber once
+    // it has routed a completion here (or decided on end-of-stream).  No
+    // engine calls the backend from inside a catch handler, so this switch
+    // never parks a fiber mid-handler (see support/fiber.hpp).
+    job_.fiber->suspend();
   }
 }
 
 std::size_t JobBackend::in_flight() const {
-  const std::lock_guard<std::mutex> lock(service_.mu_);
   // `outstanding` counts submitted-but-undelivered compute/transfer ops —
   // including ones already routed to the inbox — which is exactly the
   // standalone in_flight contract the engines' drain invariants assume.

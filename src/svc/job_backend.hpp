@@ -1,7 +1,7 @@
 // Per-job Backend proxy: the seam that lets unmodified engines time-share
 // one real backend.
 //
-// Each threaded job runs its engine against a JobBackend instead of the
+// Each fiber-mode job runs its engine against a JobBackend instead of the
 // service's real backend.  The proxy translates the engine's private op
 // tokens into a pool-global space — the job's 1-based sequence number in
 // the bits above kJobSeqShift, the engine's token below — so concurrent
@@ -9,13 +9,13 @@
 // completion coming off the real backend back to its owner (sequence 0 is
 // reserved for the service's own job-arrival timers).
 //
-// wait_next is where the turn-based handoff lives: when the job's inbox
-// is empty but it still has work in flight, the proxy parks the engine
-// thread and hands the turn back to the service loop, which pumps the
-// real backend and routes completions one at a time (grid_service.cpp
-// documents the full protocol).  When the job has nothing in flight and
-// no pending timer, wait_next returns nullopt immediately — the exact
-// semantics a standalone backend gives a deadlocked engine, so engine
+// wait_next is where the handoff lives: when the job's inbox is empty but
+// it still has work in flight, the proxy parks the engine by switching
+// from its fiber back to the service loop, which pumps the real backend,
+// routes completions one at a time and resumes the owner (see the
+// execution model in grid_service.hpp).  When the job has nothing in
+// flight and no pending timer, wait_next returns nullopt immediately — the
+// exact semantics a standalone backend gives a deadlocked engine, so engine
 // error paths behave identically under the service.
 #pragma once
 

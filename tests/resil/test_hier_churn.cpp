@@ -96,7 +96,7 @@ TEST(HierChurnProperty, SubFarmerCrashPromotesWithinTheShard) {
   std::vector<NodeId> workers;
   std::vector<double> speeds;
   for (std::int64_t i = 1; i <= 8; ++i) {
-    workers.push_back(NodeId{i});
+    workers.push_back(NodeId{static_cast<NodeId::rep_type>(i)});
     speeds.push_back(100.0);
   }
   const auto plan = core::plan_shards(workers, speeds, 2);
@@ -139,7 +139,7 @@ TEST(HierChurnProperty, SubFarmerCrashRedispatchesOnlyTheSuffix) {
   std::vector<NodeId> workers;
   std::vector<double> speeds;
   for (std::int64_t i = 1; i <= 8; ++i) {
-    workers.push_back(NodeId{i});
+    workers.push_back(NodeId{static_cast<NodeId::rep_type>(i)});
     speeds.push_back(100.0);
   }
   const auto plan = core::plan_shards(workers, speeds, 2);
@@ -172,7 +172,7 @@ TEST(HierChurnProperty, WorkerCrashStaysLocalToItsShard) {
   std::vector<NodeId> workers;
   std::vector<double> speeds;
   for (std::int64_t i = 1; i <= 8; ++i) {
-    workers.push_back(NodeId{i});
+    workers.push_back(NodeId{static_cast<NodeId::rep_type>(i)});
     speeds.push_back(100.0);
   }
   const auto plan = core::plan_shards(workers, speeds, 2);

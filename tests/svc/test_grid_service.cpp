@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 #include <unordered_set>
 
 #include "core/backend_sim.hpp"
+#include "core/backend_thread.hpp"
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/scenarios.hpp"
@@ -68,8 +70,8 @@ TEST(GridService, InlineSingleJobMatchesRunEngine) {
 }
 
 TEST(GridService, ForceThreadedSingleJobMatchesRunEngine) {
-  // Same engine, same grid, but through the job thread + token-translating
-  // proxy + turn protocol.  The completion stream the engine sees must be
+  // Same engine, same grid, but through a job fiber + token-translating
+  // proxy + turn handoff.  The completion stream the engine sees must be
   // identical, so the whole report must match the standalone run.
   gridsim::ScenarioParams sp;
   sp.node_count = 8;
@@ -261,7 +263,7 @@ TEST(GridService, EngineExceptionsSurfaceThroughWait) {
 
 TEST(GridService, ThreadedEngineExceptionsAreCapturedAndRethrown) {
   // Pipeline deeper than its allocation: the engine throws on its job
-  // thread; the service must carry the exact exception back to wait().
+  // fiber; the service must carry the exact exception back to wait().
   const gridsim::Grid grid = gridsim::make_uniform_grid(2, 100.0);
   core::SimBackend backend(grid);
   GridService::Params params;
@@ -357,6 +359,147 @@ TEST(GridService, JobMixStreamCompletesEveryArrival) {
     EXPECT_GE(handles[i].submitted_at().value, 0.0);
   }
   EXPECT_EQ(service.jobs_completed(), handles.size());
+}
+
+TEST(GridService, TeardownWithParkedTenantsFailsRunningKeepsQueued) {
+  // Jobs are admitted (their engines start and park on the first
+  // wait_next) but nobody ever waits: the service's destructor must
+  // unwind every parked engine with an end-of-stream and leave the
+  // never-admitted jobs queued.  Leaks of unwound engine frames surface
+  // under the LeakSanitizer build.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
+  core::SimBackend backend(grid);
+  std::vector<JobHandle> handles;
+  {
+    GridService::Params params;
+    params.max_concurrent_jobs = 3;
+    GridService service(backend, grid, grid.node_ids(), params);
+    JobOptions quarter;
+    quarter.max_share = 0.25;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed)
+      handles.push_back(service.submit(
+          FarmJob{core::make_adaptive_farm_params(), tasks(100, seed)},
+          quarter));
+    ASSERT_EQ(service.jobs_running(), 3u);
+    ASSERT_EQ(service.jobs_queued(), 2u);
+  }
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "job " << i);
+    if (i < 3) {
+      EXPECT_EQ(handles[i].status(), JobStatus::Failed);
+      EXPECT_NE(handles[i].error_message().find("drained unexpectedly"),
+                std::string::npos)
+          << handles[i].error_message();
+      EXPECT_THROW(handles[i].rethrow(), std::logic_error);
+    } else {
+      EXPECT_EQ(handles[i].status(), JobStatus::Queued);
+      EXPECT_TRUE(handles[i].error_message().empty());
+    }
+  }
+}
+
+// Forwards to a real backend and records which thread made every call.
+class ThreadRecordingBackend final : public core::Backend {
+ public:
+  explicit ThreadRecordingBackend(core::Backend& inner) : inner_(inner) {}
+
+  [[nodiscard]] Seconds now() const override {
+    record();
+    return inner_.now();
+  }
+  void submit_compute(core::OpToken token, NodeId node, Mops work,
+                      std::function<void()> body) override {
+    record();
+    inner_.submit_compute(token, node, work, std::move(body));
+  }
+  void submit_transfer(core::OpToken token, NodeId from, NodeId to,
+                       Bytes payload) override {
+    record();
+    inner_.submit_transfer(token, from, to, payload);
+  }
+  void submit_timer(core::OpToken token, Seconds delay) override {
+    record();
+    inner_.submit_timer(token, delay);
+  }
+  bool cancel_timer(core::OpToken token) override {
+    record();
+    return inner_.cancel_timer(token);
+  }
+  void submit_batch(std::vector<core::OpRequest> requests) override {
+    record();
+    inner_.submit_batch(std::move(requests));
+  }
+  [[nodiscard]] double compute_progress(core::OpToken token) const override {
+    record();
+    return inner_.compute_progress(token);
+  }
+  [[nodiscard]] std::optional<core::Completion> wait_next() override {
+    record();
+    return inner_.wait_next();
+  }
+  [[nodiscard]] std::size_t in_flight() const override {
+    record();
+    return inner_.in_flight();
+  }
+
+  [[nodiscard]] std::size_t calls() const { return calls_; }
+  [[nodiscard]] std::size_t foreign_calls() const { return foreign_; }
+
+ private:
+  void record() const {
+    ++calls_;
+    if (std::this_thread::get_id() != owner_) ++foreign_;
+  }
+
+  core::Backend& inner_;
+  std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::size_t calls_ = 0;
+  mutable std::size_t foreign_ = 0;
+};
+
+TEST(GridService, EveryBackendCallComesFromTheClientThread) {
+  const gridsim::Grid grid = gridsim::make_uniform_grid(9, 100.0);
+  core::SimBackend sim(grid);
+  ThreadRecordingBackend backend(sim);
+  GridService service(backend, grid, grid.node_ids());
+  JobOptions third;
+  third.max_share = 1.0 / 3.0;
+  std::vector<JobHandle> handles;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    handles.push_back(service.submit(
+        FarmJob{core::make_adaptive_farm_params(), tasks(120, seed)}, third));
+  service.wait_all();
+
+  for (const JobHandle& h : handles)
+    ASSERT_EQ(h.status(), JobStatus::Completed) << h.error_message();
+  EXPECT_EQ(service.max_concurrent_observed(), 3u);
+  EXPECT_GT(backend.calls(), 0u);
+  EXPECT_EQ(backend.foreign_calls(), 0u);
+}
+
+TEST(GridService, ThreadBackendTenantsConserveEveryTask) {
+  // Completions arrive from ThreadBackend's worker threads while the
+  // tenants' engines take turns on the client thread.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(6, 100.0);
+  core::ThreadBackend::Params bp;
+  bp.time_scale = 0.0;
+  core::ThreadBackend backend(grid, bp);
+  GridService service(backend, grid, grid.node_ids());
+  JobOptions third;
+  third.max_share = 1.0 / 3.0;
+  std::vector<JobHandle> handles;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    handles.push_back(service.submit(
+        FarmJob{core::make_adaptive_farm_params(), tasks(80, seed)}, third));
+  service.wait_all();
+
+  for (const JobHandle& h : handles) {
+    ASSERT_EQ(h.status(), JobStatus::Completed) << h.error_message();
+    EXPECT_EQ(h.farm_report().tasks_completed +
+                  h.farm_report().calibration_tasks,
+              80u);
+  }
+  EXPECT_EQ(service.max_concurrent_observed(), 3u);
 }
 
 }  // namespace
