@@ -239,6 +239,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     bool calibrated = false;
     resil::FailureDetector detector;
     resil::ChunkLedger ledger;
+    // Written only when resil_on, as TaskFarm gates its log on failover_on:
+    // the liveness tick is the log's only flush/compact point, so without
+    // it every record (and each Complete's task copy) would stay for the
+    // whole run and every retarget would scan them all.
     resil::ReplicaLog log;
     std::size_t initial_workers = 0;
     std::size_t events = 0;
@@ -401,8 +405,9 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       wave.push_back(
           OpRequest::transfer(token, sh.sub, picked, chunk_input(chunk)));
       sh.ledger.record(token, {picked, chunk, now, chunk_work(chunk), 0});
-      sh.log.append({resil::ReplicaRecordKind::Assign, token, picked, 0, 0,
-                     0.0, {}});
+      if (resil_on)
+        sh.log.append({resil::ReplicaRecordKind::Assign, token, picked, 0, 0,
+                       0.0, {}});
       sh.busy[picked] = 1;
       sh.inflight_tasks += chunk.size();
       trace(gridsim::TraceEventKind::TaskDispatched, picked, chunk.front().id,
@@ -917,7 +922,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         if (kind == OpKind::ChunkIn) {
           const OpToken next = make_token(OpKind::ChunkCompute, k, seq++);
           sh.ledger.rekey(token, next);
-          sh.log.retarget(token, next);
+          if (resil_on) sh.log.retarget(token, next);
           auto [found, moved] = asg.take(token);
           moved.compute_started = now;
           backend.submit_compute(next, moved.node, chunk_work(moved.chunk));
@@ -945,7 +950,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
           }
           const OpToken next = make_token(OpKind::ChunkOut, k, seq++);
           sh.ledger.rekey(token, next);
-          sh.log.retarget(token, next);
+          if (resil_on) sh.log.retarget(token, next);
           auto [found, moved] = asg.take(token);
           backend.submit_transfer(next, moved.node, sh.sub,
                                   chunk_output(moved.chunk));
@@ -953,8 +958,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         } else {  // ChunkOut: the chunk is home
           auto [found, fin] = asg.take(token);
           (void)sh.ledger.complete(token);
-          sh.log.append({resil::ReplicaRecordKind::Complete, token, fin.node,
-                         0, 0, chunk_output(fin.chunk).value, fin.chunk});
+          if (resil_on)
+            sh.log.append({resil::ReplicaRecordKind::Complete, token,
+                           fin.node, 0, 0, chunk_output(fin.chunk).value,
+                           fin.chunk});
           sh.inflight_tasks -=
               std::min(sh.inflight_tasks, fin.chunk.size());
           sh.busy[fin.node] = 0;

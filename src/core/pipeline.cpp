@@ -369,10 +369,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   arm_monitor();
 
   // ---- Streaming state. -------------------------------------------------
-  // Flat insertion-ordered tables (support/flat_map.hpp): the live sets are
-  // bounded by the stage count and the source window, where a linear scan
-  // beats hashing on every per-event lookup — the same conversion the farm's
-  // in-flight table got in the hot-path overhaul — and iteration order is
+  // Flat insertion-ordered tables (support/flat_map.hpp): O(1) per-event
+  // lookups with no allocation per insert, and iteration order is
   // deterministic, which the loss-handling sweeps below rely on.
   FlatMap<std::uint64_t, ItemState> items;
   FlatMap<OpToken, PendingOp> ops;

@@ -266,9 +266,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   };
 
   // Chunks currently travelling the input -> compute -> output chain.  At
-  // most one per worker (plus reissue twins), so a flat insertion-ordered
-  // table: the per-completion find/erase that used to dominate profiles is
-  // a short linear scan, and iteration order is deterministic.
+  // most one per worker (plus reissue twins), in a flat insertion-ordered
+  // table: the per-completion find/erase is an O(1) index probe at any pool
+  // size, and iteration order is deterministic.
   FlatMap<OpToken, Assignment> in_flight;
   // Tokens of chunks surrendered to crash recovery; their completions (the
   // zombies) are swallowed when the backend eventually delivers them.

@@ -16,10 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "support/flat_map.hpp"
 #include "support/ids.hpp"
 
 namespace grasp::gridsim {
@@ -43,8 +44,10 @@ class ChurnTimeline {
 
   /// `events` are sorted on construction (stable, by time).  Nodes listed in
   /// `initially_absent` are not members until a Join event admits them.
+  /// Node ids must be valid grid ids (dense small integers); an id beyond
+  /// NodeMap's dense range throws std::out_of_range.
   explicit ChurnTimeline(std::vector<ChurnEvent> events,
-                         std::vector<NodeId> initially_absent = {});
+                         const std::vector<NodeId>& initially_absent = {});
 
   [[nodiscard]] const std::vector<ChurnEvent>& events() const {
     return events_;
@@ -53,16 +56,17 @@ class ChurnTimeline {
   [[nodiscard]] std::size_t count(ChurnEventKind kind) const;
 
   [[nodiscard]] bool initially_member(NodeId node) const {
-    return initially_absent_.count(node) == 0;
+    return !runs_.at_or_default(node).absent;
   }
 
   /// Membership state at time t: the initial state with every event at or
-  /// before t applied.
+  /// before t applied.  O(log of `node`'s event count).
   [[nodiscard]] bool is_member(NodeId node, Seconds t) const;
 
   /// True when a Crash event for `node` lies in (from, to].  The engines use
   /// this to invalidate work whose dispatch-to-completion window straddles a
   /// crash (the completion is a zombie: physically the node died mid-chunk).
+  /// Same cost as is_member, plus the node's events inside the window.
   [[nodiscard]] bool crashed_during(NodeId node, Seconds from,
                                     Seconds to) const;
 
@@ -75,8 +79,26 @@ class ChurnTimeline {
       const std::vector<NodeId>& pool, Seconds t) const;
 
  private:
+  /// Where `node`'s events sit in times_/kinds_, and whether the node
+  /// starts outside the pool.
+  struct Run {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    bool absent = false;
+  };
+  /// A run's event times (sorted; ties keep input order).  The kind of
+  /// times_[i] is kinds_[i].
+  [[nodiscard]] std::span<const Seconds> times_of(const Run& run) const;
+
   std::vector<ChurnEvent> events_;  ///< sorted by time
-  std::unordered_set<NodeId> initially_absent_;
+  // Per-node index over the same events, built by a counting sort (linear
+  // passes, no comparison sort, no per-node allocation): times_ and
+  // kinds_ are sorted by (node, time), ties in events_ order, and node n's
+  // events are [runs_[n].begin, runs_[n].end).  Grid node ids are dense,
+  // so runs_ is direct-indexed.
+  NodeMap<Run> runs_;
+  std::vector<Seconds> times_;
+  std::vector<ChurnEventKind> kinds_;
 };
 
 /// Poisson churn-schedule generator.

@@ -41,7 +41,7 @@ class Payload {
  public:
   static constexpr std::size_t kInlineCapacity = 32;
 
-  Payload() noexcept : size_(0) {}
+  Payload() noexcept : size_(0), storage_{} {}
 
   /// An uninitialised buffer of `size` bytes (callers memcpy into data()).
   explicit Payload(std::size_t size) : size_(size) {
@@ -92,13 +92,13 @@ class Payload {
     if (!is_inline()) delete[] storage_.heap;
     size_ = 0;
   }
+  // Copies the union whole, inline bytes or heap pointer alike: one fixed
+  // 32-byte copy with no branch on the size.  Together with the default
+  // constructor's zeroed storage this leaves no path that reads a union
+  // member nobody wrote.
   void steal(Payload& other) noexcept {
     size_ = other.size_;
-    if (is_inline()) {
-      if (size_ > 0) std::memcpy(storage_.inline_bytes, other.storage_.inline_bytes, size_);
-    } else {
-      storage_.heap = other.storage_.heap;
-    }
+    storage_ = other.storage_;
     other.size_ = 0;  // heap pointer (if any) transferred
   }
 

@@ -18,10 +18,10 @@
 // of re-dispatching), and only the un-checkpointed suffix is charged as
 // wasted work and re-dispatched.
 //
-// Storage is a flat insertion-ordered table (support/flat_map.hpp): the
-// live set is at most one entry per worker, where a linear scan beats a
-// hash table, and insertion order makes fail_node's surrender order — and
-// therefore re-dispatch order — deterministic.  The per-tick checkpoint
+// Storage is a flat insertion-ordered table (support/flat_map.hpp): record,
+// rekey and complete are O(1) index probes at any pool size, and insertion
+// order (rekey moves an entry to the end) makes fail_node's surrender
+// order — and therefore re-dispatch order — deterministic.  The per-tick checkpoint
 // pass applies all of a tick's progress reports through `checkpoint_batch`
 // in one call.
 #pragma once
