@@ -382,9 +382,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   NodeMap<std::size_t> node_chunk;
   for (const NodeId n : pool) node_chunk[n] = params_.chunk_size;
 
-  NodeMap<char> busy;
-  for (const NodeId n : pool) busy[n] = false;
-
   Seconds finish_time = Seconds::zero();
   bool finished = false;
   std::size_t recalibrations = 0;
@@ -484,7 +481,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
                            is_reissue ? gridsim::TraceEventKind::TaskReissued
                                       : gridsim::TraceEventKind::TaskDispatched,
                            node, t.id, t.work.value, ""});
-    busy[node] = true;
+    elastic.set_busy(node, true);
     if (resil_on)
       ledger.record(token, {node, a.chunk, a.dispatched, a.work()});
     if (failover_on)
@@ -564,7 +561,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       met.observe(h_eff_timeout, detector->effective_timeout(node).value);
     detector->unwatch(node);
     elastic.remove(node);
-    busy[node] = false;
+    elastic.set_busy(node, false);
     newly_dead.push_back(node);
     if (failover_on) {
       failover->log().append(
@@ -573,23 +570,17 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     }
     met.inc(rm.crashes_detected);
     // Detection latency: now minus the actual crash instant (the latest
-    // Crash event for this node).  Rare path, so the timeline scan is
-    // affordable.  Computed when either consumer wants it: the detail-tier
-    // histogram, or a detection-latency SLO (which must fire even with the
-    // detail tier off).
+    // Crash event for this node).  Computed when either consumer wants it:
+    // the detail-tier histogram, or a detection-latency SLO (which must
+    // fire even with the detail tier off).
     if (met.enabled() ||
         (watchdog && watchdog->rules().detection_latency_s > 0.0)) {
-      const auto& events = churn->events();
-      for (auto it = events.rbegin(); it != events.rend(); ++it) {
-        if (it->at > backend.now()) continue;
-        if (it->node != node ||
-            it->kind != gridsim::ChurnEventKind::Crash)
-          continue;
-        const double latency = (backend.now() - it->at).value;
+      if (const auto crashed_at =
+              churn->last_crash_at_or_before(node, backend.now())) {
+        const double latency = (backend.now() - *crashed_at).value;
         met.observe(h_detect, latency);
         if (watchdog)
           watchdog->check_detection(node, backend.now().value, latency);
-        break;
       }
     }
     if (met.enabled())
@@ -701,7 +692,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
               (void)token;
               if (a.node == e.node) occupied = true;
             }
-            if (!occupied) busy[e.node] = false;
+            if (!occupied) elastic.set_busy(e.node, false);
           }
           if (params_.resilience.elastic_join) elastic.begin_probation(e.node);
           monitor.rewatch(farmer_live_view());
@@ -845,7 +836,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       const auto entry = ledger.invalidate(token, already_done);
       if (entry) recover_checkpointed(*entry);
       requeue_pending(a.chunk, a.node);
-      busy[a.node] = false;
+      elastic.set_busy(a.node, false);
       exec_monitor.arm(exec_monitor.baseline_spm(), elastic.workers(),
                        backend.now());
     }
@@ -1039,35 +1030,31 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     // reconnect handshake of the promoted coordinator closes.
     if (failover_on && (failover->farmer_down() || handshake_token != 0))
       return;
-    // Copy only on churn runs, where declare_dead (via the liveness check)
-    // can mutate the worker set mid-loop; churn-free passes iterate the
-    // pool's own vector and never allocate.
-    std::vector<NodeId> workers_copy;
-    if (resil_on) workers_copy = elastic.workers();
-    const std::vector<NodeId>& workers =
-        resil_on ? workers_copy : elastic.workers();
-    for (const NodeId n : workers) {
-      if (source.empty()) break;
-      if (busy[n]) continue;
+    // Only idle workers are visited, in worker order.  declare_dead (via
+    // the liveness check) removes the visited worker mid-loop, which the
+    // pool's visit tolerates.
+    elastic.for_each_idle([&](NodeId n) {
+      if (source.empty()) return false;
       // Dispatch-time liveness check: opening the connection to a dead
       // node fails fast, so the farmer learns of the crash here even
       // before the heartbeat timeout.
       if (resil_on && !churn->is_member(n, backend.now())) {
         declare_dead(n, "dispatch failed");
-        continue;
+        return true;
       }
       const std::size_t want = chunk_for(n);
       std::vector<workloads::TaskSpec> chunk;
       while (chunk.size() < want && !source.empty())
         chunk.push_back(source.pop());
       if (!chunk.empty()) queue_chunk(n, std::move(chunk), false);
-    }
+      return true;
+    });
     // Fast-path calibration probes for newcomers in probation.
     if (resil_on) {
       const std::vector<NodeId> probationers = elastic.probationers();
       for (const NodeId n : probationers) {
         if (source.empty()) break;
-        if (busy[n]) continue;
+        if (elastic.busy(n)) continue;
         if (!churn->is_member(n, backend.now())) {
           declare_dead(n, "dispatch failed");
           continue;
@@ -1093,8 +1080,10 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     if ((traits_.actions & kActionReissueTask) == 0) return;
     // Idle chosen workers, fastest first.
     std::vector<NodeId> idle;
-    for (const NodeId n : elastic.workers())
-      if (!busy[n]) idle.push_back(n);
+    elastic.for_each_idle([&](NodeId n) {
+      idle.push_back(n);
+      return true;
+    });
     std::sort(idle.begin(), idle.end(), [&](NodeId a, NodeId b) {
       return spm_estimate(a) < spm_estimate(b);
     });
@@ -1105,7 +1094,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     std::size_t probation_targets = 0;
     if (resil_on) {
       for (const NodeId n : elastic.probationers()) {
-        if (!busy[n] && churn->is_member(n, backend.now())) {
+        if (!elastic.busy(n) && churn->is_member(n, backend.now())) {
           idle.push_back(n);
           ++probation_targets;
         }
@@ -1268,7 +1257,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       if (resil_on && !tracker->is_member(a.node))
         declare_dead(a.node, "connection lost");
       else
-        busy[a.node] = false;
+        elastic.set_busy(a.node, false);
       return;
     }
 
@@ -1305,7 +1294,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         double& estimate = node_spm[a.node];
         estimate = estimate > 0.0 ? 0.5 * estimate + 0.5 * spm : spm;
         if (econ_on) cost_model.record(a.node, spm);
-        busy[a.node] = false;
+        elastic.set_busy(a.node, false);
         std::vector<workloads::TaskSpec> marked;
         for (const auto& t : a.chunk) {
           if (source.mark_completed(t.id)) {
@@ -1543,7 +1532,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       // farmerless farm is exempt: promotion (or the failover patience
       // bound) decides its fate.
       if (!source.all_done() && backend.in_flight() == 0 &&
-          elastic.workers().empty() && elastic.probationers().empty() &&
+          elastic.size() == 0 && elastic.probationers().empty() &&
           !farmer_down()) {
         cancel_tick();
         throw std::logic_error("TaskFarm: deadlock — tasks remain but "

@@ -92,6 +92,15 @@ bool ChurnTimeline::crashed_during(NodeId node, Seconds from,
   return false;
 }
 
+std::optional<Seconds> ChurnTimeline::last_crash_at_or_before(
+    NodeId node, Seconds t) const {
+  const Run& run = runs_.at_or_default(node);
+  for (std::size_t i = run.begin + count_until(times_of(run), t);
+       i > run.begin; --i)
+    if (kinds_[i - 1] == ChurnEventKind::Crash) return times_[i - 1];
+  return std::nullopt;
+}
+
 std::vector<ChurnEvent> ChurnTimeline::events_between(Seconds from,
                                                       Seconds to) const {
   if (!(from < to)) return {};

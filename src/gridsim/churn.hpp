@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,6 +70,12 @@ class ChurnTimeline {
   /// Same cost as is_member, plus the node's events inside the window.
   [[nodiscard]] bool crashed_during(NodeId node, Seconds from,
                                     Seconds to) const;
+
+  /// Time of `node`'s latest Crash event at or before t; nullopt when it
+  /// has none.  Same cost as is_member, plus the node's non-crash events
+  /// walked back over.
+  [[nodiscard]] std::optional<Seconds> last_crash_at_or_before(
+      NodeId node, Seconds t) const;
 
   /// Events with from < at <= to, in time order.
   [[nodiscard]] std::vector<ChurnEvent> events_between(Seconds from,

@@ -196,6 +196,7 @@ BlameReport analyze_blame(const std::vector<SpanRecord>& spans,
   // one forward pass over (id -> root) resolves membership.
   std::map<SpanId, std::size_t> root_of;       // span id -> groups index
   std::vector<std::vector<std::size_t>> group_spans;
+  std::vector<std::size_t> group_root;         // groups index -> span index
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& rec = spans[i];
     const bool is_group_root = !rec.instant &&
@@ -203,6 +204,7 @@ BlameReport analyze_blame(const std::vector<SpanRecord>& spans,
                                 std::strcmp(rec.name, "job") == 0);
     if (is_group_root) {
       root_of[rec.id] = report.groups.size();
+      group_root.push_back(i);
       BlameGroup g;
       g.key = group_key(rec);
       const double e = rec.open() ? makespan_s : rec.end_s;
@@ -217,21 +219,10 @@ BlameReport analyze_blame(const std::vector<SpanRecord>& spans,
     group_spans[it->second].push_back(i);
   }
   for (std::size_t g = 0; g < report.groups.size(); ++g) {
-    // Re-find the root's window from its key order: groups were pushed in
-    // root order, so locate begin via the stored window against the spans.
-    // (Window begin is recomputed here to keep BlameGroup small.)
-    double begin = 0.0, end = makespan_s;
-    for (const SpanRecord& rec : spans) {
-      if (rec.instant) continue;
-      if ((std::strcmp(rec.name, "shard") == 0 ||
-           std::strcmp(rec.name, "job") == 0) &&
-          group_key(rec) == report.groups[g].key) {
-        begin = rec.begin_s;
-        end = std::min(rec.open() ? makespan_s : rec.end_s, makespan_s);
-        break;
-      }
-    }
-    report.groups[g].blame = sweep(spans, group_spans[g], begin, end);
+    const SpanRecord& root = spans[group_root[g]];
+    const double end =
+        std::min(root.open() ? makespan_s : root.end_s, makespan_s);
+    report.groups[g].blame = sweep(spans, group_spans[g], root.begin_s, end);
   }
 
   // ---- per-node rows: each node's own spans plus the global calibration
@@ -260,39 +251,64 @@ BlameReport analyze_blame(const std::vector<SpanRecord>& spans,
 
   // ---- critical path: start from the categorised span that ends last,
   // chain backwards to the latest span that finished before it began.
-  std::vector<std::size_t> categorised;
-  for (const std::size_t i : all) {
-    const SpanRecord& rec = spans[i];
-    if (!rec.instant && classify(rec.name) != Cause::None) categorised.push_back(i);
-  }
+  // Candidates are sorted once by (clipped end, index); each step's
+  // predecessor is the lowest-index span of the latest end group at or
+  // before the current begin, found by binary search.  Only ends above -1
+  // qualify (NaN never does).
   const auto clipped_end = [&](const SpanRecord& rec) {
     return std::min(rec.open() ? makespan_s : rec.end_s, makespan_s);
   };
-  std::size_t cur = spans.size();
-  double best_end = -1.0;
-  for (const std::size_t i : categorised) {
-    const double e = clipped_end(spans[i]);
-    if (e > best_end) {
-      best_end = e;
-      cur = i;
-    }
+  struct Candidate {
+    double end;
+    std::size_t index;
+  };
+  std::vector<Candidate> by_end;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& rec = spans[i];
+    if (rec.instant || classify(rec.name) == Cause::None) continue;
+    const double e = clipped_end(rec);
+    if (e > -1.0) by_end.push_back({e, i});
   }
+  std::sort(by_end.begin(), by_end.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.end != b.end ? a.end < b.end : a.index < b.index;
+            });
+  // First position of the end group that by_end[pos - 1] belongs to.
+  const auto group_start = [&](std::size_t pos) {
+    const double e = by_end[pos - 1].end;
+    return static_cast<std::size_t>(
+        std::lower_bound(by_end.begin(), by_end.begin() + pos, e,
+                         [](const Candidate& c, double v) { return c.end < v; }) -
+        by_end.begin());
+  };
+  std::size_t cur = by_end.empty() ? spans.size()
+                                   : by_end[group_start(by_end.size())].index;
   std::vector<CriticalPathStep> path;
   while (cur < spans.size() && path.size() < 128) {
     const SpanRecord& rec = spans[cur];
     path.push_back({rec.id, rec.name, rec.begin_s, clipped_end(rec),
                     rec.node, rec.detail});
-    std::size_t pred = spans.size();
-    double pred_end = -1.0;
-    for (const std::size_t i : categorised) {
-      if (i == cur) continue;
-      const double e = clipped_end(spans[i]);
-      if (e <= rec.begin_s + 1e-12 && e > pred_end) {
-        pred_end = e;
-        pred = i;
+    const double limit = rec.begin_s + 1e-12;
+    std::size_t end = static_cast<std::size_t>(
+        std::upper_bound(by_end.begin(), by_end.end(), limit,
+                         [](double v, const Candidate& c) { return v < c.end; }) -
+        by_end.begin());
+    const std::size_t self = cur;
+    cur = spans.size();
+    while (end > 0) {
+      // Lowest index in the latest end group, skipping the current span;
+      // a group holding only the current span defers to the one before.
+      const std::size_t first = group_start(end);
+      if (by_end[first].index != self) {
+        cur = by_end[first].index;
+        break;
       }
+      if (first + 1 < end) {
+        cur = by_end[first + 1].index;
+        break;
+      }
+      end = first;
     }
-    cur = pred;
   }
   std::reverse(path.begin(), path.end());
   report.critical_path = std::move(path);

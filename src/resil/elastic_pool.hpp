@@ -7,12 +7,22 @@
 // shrink.  Admission uses the one number a single probe chunk yields
 // (observed seconds-per-Mop) compared against the calibrated baseline; the
 // full statistical re-rank happens at the next Algorithm 1 pass.
+//
+// The pool also owns each node's busy/idle state (a node is busy while a
+// chunk dispatched to it is in flight), so the farm's dispatch loop can
+// visit just the idle workers.  Workers are kept as an indexed, ordered
+// set: each gets a rank that grows in insertion order (reset assigns ranks
+// in vector order, admit appends), a removal leaves a hole, and a bitmap
+// indexed by rank marks the idle workers.  Rank order is the order
+// `workers()` lists, and the order `for_each_idle` visits.
 #pragma once
 
+#include <bit>
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
+#include "support/flat_map.hpp"
 #include "support/ids.hpp"
 
 namespace grasp::resil {
@@ -35,10 +45,33 @@ class ElasticPool {
   explicit ElasticPool(Params params);
 
   /// Install a calibrated worker set; clears probation and strike state.
-  void reset(std::vector<NodeId> workers);
+  /// Busy state is kept: a chosen node may still have a chunk in flight.
+  void reset(const std::vector<NodeId>& workers);
 
-  [[nodiscard]] const std::vector<NodeId>& workers() const { return workers_; }
-  [[nodiscard]] bool contains(NodeId node) const;
+  /// The worker set in rank order (built on each call).
+  [[nodiscard]] std::vector<NodeId> workers() const;
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool contains(NodeId node) const {
+    return rank_of_.at_or_default(node) != 0;
+  }
+
+  /// Busy/idle state of any node, worker or not (probationers and departed
+  /// nodes can hold chunks too).  Every node starts idle.
+  void set_busy(NodeId node, bool busy);
+  [[nodiscard]] bool busy(NodeId node) const {
+    return busy_.at_or_default(node) != 0;
+  }
+
+  /// Call `visit(node)` for each idle worker in rank order until it returns
+  /// false.  Idleness is read when the visit reaches a rank, so `visit` may
+  /// mark nodes busy or idle and remove workers (the visited one included);
+  /// it must not insert workers (reset, admit).
+  template <class Visit>
+  void for_each_idle(Visit&& visit) {
+    for (std::size_t r = next_idle(0); r < by_rank_.size();
+         r = next_idle(r + 1))
+      if (!visit(by_rank_[r])) return;
+  }
 
   /// Remove a worker (crash/leave).  Returns true when it was present.
   bool remove(NodeId node);
@@ -72,10 +105,31 @@ class ElasticPool {
   [[nodiscard]] const Params& params() const { return params_; }
 
  private:
+  /// Lowest idle rank at or after `from`; by_rank_.size() when none.
+  [[nodiscard]] std::size_t next_idle(std::size_t from) const {
+    for (std::size_t w = from / 64; w < idle_.size(); ++w) {
+      std::uint64_t bits = idle_[w];
+      if (w == from / 64) bits &= ~std::uint64_t{0} << (from % 64);
+      if (bits != 0) return w * 64 + std::countr_zero(bits);
+    }
+    return by_rank_.size();
+  }
+  /// Rank `workers` 0, 1, ... in order (duplicates keep their first rank).
+  void rerank(const std::vector<NodeId>& workers);
+  void append(NodeId node);
+  void set_idle_bit(std::size_t rank, bool idle);
+
   Params params_;
-  std::vector<NodeId> workers_;
+  /// Rank -> worker; NodeId::invalid() marks the hole a removal left.
+  std::vector<NodeId> by_rank_;
+  /// Node -> rank + 1; 0 means "not a worker".
+  NodeMap<std::uint32_t> rank_of_;
+  /// Bit r is set when by_rank_[r] is a worker that is not busy.
+  std::vector<std::uint64_t> idle_;
+  NodeMap<char> busy_;
+  std::size_t size_ = 0;
   std::vector<NodeId> probation_;
-  std::unordered_map<NodeId, std::size_t> strikes_;
+  NodeMap<std::size_t> strikes_;
   std::size_t admissions_ = 0;
   std::size_t rejections_ = 0;
   std::size_t evictions_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace grasp::resil {
@@ -31,12 +32,14 @@ void FailureDetector::watch(NodeId node, Seconds now) {
   Seconds& last = last_[node];
   if (last.value == kUnwatched) ++watched_count_;
   last = now;
+  quiet_dirty_ = true;
 }
 
 void FailureDetector::unwatch(NodeId node) {
   if (!watching(node)) return;
   last_[node] = Seconds{kUnwatched};
   --watched_count_;
+  quiet_dirty_ = true;
 }
 
 bool FailureDetector::watching(NodeId node) const {
@@ -61,6 +64,7 @@ void FailureDetector::credit(NodeId node, Seconds at) {
     }
   }
   last = at;
+  quiet_dirty_ = true;
 }
 
 void FailureDetector::heartbeat(NodeId node, Seconds at) {
@@ -95,7 +99,10 @@ void FailureDetector::advance(
         for (long long k = last_tick; k >= first_tick; --k) {
           const Seconds tick{static_cast<double>(k) * period};
           if (alive(node, tick)) {
-            if (tick > last_.values()[slot]) last_[node] = tick;
+            if (tick > last_.values()[slot]) {
+              last_[node] = tick;
+              quiet_dirty_ = true;
+            }
             break;
           }
         }
@@ -130,17 +137,25 @@ std::size_t FailureDetector::beat_samples(NodeId node) const {
   return stats_.at_or_default(node).n;
 }
 
-std::vector<NodeId> FailureDetector::suspects(Seconds now) const {
-  // The dense table is walked in id order, so the output needs no sort.
+std::vector<NodeId> FailureDetector::suspects(Seconds now) {
   std::vector<NodeId> out;
+  if (!quiet_dirty_ && now.value < quiet_until_) return out;
+  // The dense table is walked in id order, so the output needs no sort.
   const bool accrual = params_.mode == DetectionMode::Accrual;
+  double earliest = std::numeric_limits<double>::infinity();
   for (std::size_t slot = 0; slot < last_.values().size(); ++slot) {
     const Seconds last = last_.values()[slot];
     if (last.value == kUnwatched) continue;
     const Seconds limit = accrual ? effective_timeout(NodeId{slot})
                                   : params_.timeout;
     if (now - last > limit) out.push_back(NodeId{slot});
+    earliest = std::min(earliest, last.value + limit.value);
   }
+  // Two ulps down: `last + limit` is rounded, and any now strictly below
+  // the exact sum keeps `now - last` at or under `limit` after rounding.
+  constexpr double kDown = -std::numeric_limits<double>::infinity();
+  quiet_until_ = std::nextafter(std::nextafter(earliest, kDown), kDown);
+  quiet_dirty_ = false;
   return out;
 }
 

@@ -24,6 +24,15 @@
 //     has `min_samples` inter-arrivals the fixed timeout applies; gaps
 //     longer than `timeout` are excluded from the statistics (they are
 //     outages being survived, not link cadence).
+//
+// Engines ask for suspects on every completion, but suspicion can only
+// change when a deadline passes or a heartbeat is credited.  The detector
+// therefore keeps `quiet_until`, a conservative lower bound on the earliest
+// `last + limit` over watched nodes: while no beat or membership change has
+// been recorded since the last scan and `now` is below it, `suspects`
+// answers empty without visiting any node.  Anything that can move a
+// deadline (watch, unwatch, a credited beat, advance) marks the bound
+// dirty; the next `suspects` call runs the full scan and refreshes it.
 #pragma once
 
 #include <functional>
@@ -81,8 +90,10 @@ class FailureDetector {
                const std::function<bool(NodeId, Seconds)>& alive);
 
   /// Watched nodes whose silence exceeds their effective timeout, in id
-  /// order.
-  [[nodiscard]] std::vector<NodeId> suspects(Seconds now) const;
+  /// order.  O(1) while nothing can be suspect (see `quiet_until` above);
+  /// otherwise a scan of the watched nodes that refreshes the bound, so it
+  /// is not const and not safe to call concurrently with itself.
+  [[nodiscard]] std::vector<NodeId> suspects(Seconds now);
 
   /// Every watched node, in id order (the farmer's live view of the pool).
   [[nodiscard]] std::vector<NodeId> watched() const;
@@ -133,6 +144,11 @@ class FailureDetector {
   NodeMap<BeatStats> stats_;
   std::size_t watched_count_ = 0;
   Seconds last_advance_{0.0};
+  /// No watched node can be suspect at any now < quiet_until_ (valid only
+  /// while !quiet_dirty_).  Two ulps below min(last + limit), so the
+  /// rounding of `now - last` can never make a skipped node a suspect.
+  double quiet_until_ = 0.0;
+  bool quiet_dirty_ = true;
 };
 
 }  // namespace grasp::resil

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -50,6 +51,18 @@ std::vector<ChurnEvent> linear_events_between(const ChurnTimeline& t,
     if (e.at > from) out.push_back(e);
   }
   return out;
+}
+
+// The reverse scan TaskFarm ran to find a node's latest crash for its
+// detection-latency metric: walk the whole timeline back from the end.
+std::optional<Seconds> linear_last_crash(const ChurnTimeline& t, NodeId node,
+                                         Seconds at) {
+  const auto& events = t.events();
+  for (auto it = events.rbegin(); it != events.rend(); ++it) {
+    if (it->at > at) continue;
+    if (it->node == node && it->kind == ChurnEventKind::Crash) return it->at;
+  }
+  return std::nullopt;
 }
 
 bool same_events(const std::vector<ChurnEvent>& a,
@@ -117,6 +130,14 @@ TEST(ChurnTimelineProperty, IndexedQueriesMatchLinearScan) {
             << "seed " << seed << " node " << n << " t " << at.value;
         ++checks;
       }
+      for (const Seconds at : times) {
+        // Covers ties (several events of one node at one time) and
+        // queries before the node's first crash.
+        ASSERT_EQ(t.last_crash_at_or_before(node, at),
+                  linear_last_crash(t, node, at))
+            << "seed " << seed << " node " << n << " t " << at.value;
+        ++checks;
+      }
       for (std::size_t i = 0; i < times.size(); ++i) {
         // Windows between probe pairs, including empty and reversed ones.
         const Seconds from = times[i];
@@ -144,6 +165,10 @@ TEST(ChurnTimelineProperty, EqualTimestampsApplyInInputOrder) {
   EXPECT_TRUE(t.is_member(NodeId{1}, Seconds{4.9}));
   EXPECT_FALSE(t.is_member(NodeId{1}, Seconds{5.0}));
   EXPECT_TRUE(t.crashed_during(NodeId{1}, Seconds{4.0}, Seconds{5.0}));
+  EXPECT_EQ(t.last_crash_at_or_before(NodeId{1}, Seconds{5.0}),
+            Seconds{5.0});
+  EXPECT_EQ(t.last_crash_at_or_before(NodeId{1}, Seconds{4.9}), std::nullopt);
+  EXPECT_EQ(t.last_crash_at_or_before(NodeId{2}, Seconds{9.0}), std::nullopt);
   EXPECT_FALSE(t.crashed_during(NodeId{1}, Seconds{5.0}, Seconds{9.0}));
   EXPECT_FALSE(t.is_member(NodeId{2}, Seconds{1.0}));  // absent until Join
   EXPECT_TRUE(t.is_member(NodeId{2}, Seconds{2.0}));
@@ -168,6 +193,8 @@ TEST(ChurnTimelineProperty, GeneratedScheduleMatchesLinearScan) {
                 linear_is_member(t, node, Seconds{at}));
       ASSERT_EQ(t.crashed_during(node, Seconds{at}, Seconds{at + 20.0}),
                 linear_crashed_during(t, node, Seconds{at}, Seconds{at + 20.0}));
+      ASSERT_EQ(t.last_crash_at_or_before(node, Seconds{at}),
+                linear_last_crash(t, node, Seconds{at}));
     }
   }
 }

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "gridsim/scenarios.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "support/rng.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::obs {
@@ -216,6 +219,122 @@ TEST(CriticalPath, HierFarmRunYieldsShardGroups) {
     EXPECT_NEAR(g.blame.total(), g.window_s, 0.01 * g.window_s);
     EXPECT_GT(g.blame.compute_s, 0.0);
   }
+}
+
+// The critical-path walk analyze_blame ran before it sorted its
+// candidates: per step, a linear scan for the latest-ending categorised
+// span (lowest index on ties) that ends at or before the current begin.
+std::vector<std::size_t> linear_critical_path(
+    const std::vector<SpanRecord>& spans, double makespan_s) {
+  const auto categorised = [](const SpanRecord& rec) {
+    if (rec.instant) return false;
+    for (const char* name : {"chunk", "probe", "item", "stage", "calibration",
+                             "failover", "handshake", "checkpoint_pass"})
+      if (std::strcmp(rec.name, name) == 0) return true;
+    return false;
+  };
+  const auto clipped_end = [&](const SpanRecord& rec) {
+    return std::min(rec.open() ? makespan_s : rec.end_s, makespan_s);
+  };
+  std::size_t cur = spans.size();
+  double best_end = -1.0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (!categorised(spans[i])) continue;
+    const double e = clipped_end(spans[i]);
+    if (e > best_end) {
+      best_end = e;
+      cur = i;
+    }
+  }
+  std::vector<std::size_t> path;
+  while (cur < spans.size() && path.size() < 128) {
+    path.push_back(cur);
+    std::size_t pred = spans.size();
+    double pred_end = -1.0;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (i == cur || !categorised(spans[i])) continue;
+      const double e = clipped_end(spans[i]);
+      if (e <= spans[cur].begin_s + 1e-12 && e > pred_end) {
+        pred_end = e;
+        pred = i;
+      }
+    }
+    cur = pred;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+// Seeded span sets on a coarse time grid, so ends tie often; zero-length
+// spans (which can chain into each other until the 128-step cap), open
+// spans, instants, uncategorised names, spans entirely before t = -1 and
+// spans reaching past the makespan are all mixed in.
+TEST(CriticalPath, SortedWalkMatchesLinearWalk) {
+  const char* const names[] = {"chunk", "probe", "calibration", "failover",
+                               "handshake", "checkpoint_pass", "shard",
+                               "misc"};
+  std::size_t steps = 0, capped = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const double makespan = 40.0 + static_cast<double>(rng.uniform_index(20));
+    std::vector<SpanRecord> spans;
+    const std::size_t count = 1 + rng.uniform_index(60);
+    for (std::size_t i = 0; i < count; ++i) {
+      SpanRecord rec;
+      rec.id = i + 1;
+      rec.name = names[rng.uniform_index(8)];
+      rec.begin_s = 0.5 * static_cast<double>(rng.uniform_index(120)) - 4.0;
+      switch (rng.uniform_index(6)) {
+        case 0: rec.end_s = rec.begin_s; break;              // zero length
+        case 1: rec.end_s = rec.begin_s - 1.0; break;        // still open
+        case 2:
+          rec.instant = true;
+          rec.end_s = rec.begin_s;
+          break;
+        default:
+          rec.end_s = rec.begin_s +
+                      0.5 * static_cast<double>(rng.uniform_index(30));
+      }
+      rec.node = NodeId{rng.uniform_index(5)};
+      spans.push_back(rec);
+    }
+    const std::vector<std::size_t> want =
+        linear_critical_path(spans, makespan);
+    const BlameReport got = analyze_blame(spans, makespan);
+    ASSERT_EQ(got.critical_path.size(), want.size()) << "seed " << seed;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      const SpanRecord& rec = spans[want[k]];
+      const CriticalPathStep& step = got.critical_path[k];
+      ASSERT_EQ(step.id, rec.id) << "seed " << seed << " step " << k;
+      EXPECT_EQ(step.begin_s, rec.begin_s);
+      EXPECT_EQ(step.end_s,
+                std::min(rec.open() ? makespan : rec.end_s, makespan));
+    }
+    steps += want.size();
+    capped += want.size() == 128 ? 1 : 0;
+  }
+  EXPECT_GT(steps, 1000u);
+  EXPECT_GT(capped, 0u);  // some zero-length chains hit the step cap
+}
+
+// Two grafted roots that share a key ("shard.0" from two runs, say): each
+// group is blamed over its own root's window, so each row conserves.
+TEST(CriticalPath, DuplicateGroupKeysUseTheirOwnWindows) {
+  std::vector<SpanRecord> spans;
+  spans.push_back(span(1, "shard", 0.0, 10.0));
+  spans.push_back(span(2, "chunk", 0.0, 10.0, NodeId{1}));
+  spans[1].parent = 1;
+  spans.push_back(span(3, "shard", 20.0, 50.0));
+  spans.push_back(span(4, "chunk", 25.0, 50.0, NodeId{2}));
+  spans[3].parent = 3;
+  const BlameReport r = analyze_blame(spans, 60.0);
+  ASSERT_EQ(r.groups.size(), 2u);
+  EXPECT_EQ(r.groups[0].key, r.groups[1].key);
+  EXPECT_DOUBLE_EQ(r.groups[0].window_s, 10.0);
+  EXPECT_DOUBLE_EQ(r.groups[0].blame.compute_s, 10.0);
+  EXPECT_DOUBLE_EQ(r.groups[1].window_s, 30.0);
+  EXPECT_DOUBLE_EQ(r.groups[1].blame.total(), 30.0);
+  EXPECT_DOUBLE_EQ(r.groups[1].blame.compute_s, 25.0);
 }
 
 TEST(CriticalPath, PublishBlameSetsGaugesAndFractions) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include "resil/heartbeat.hpp"
+#include "support/rng.hpp"
 
 namespace grasp::resil {
 namespace {
@@ -87,6 +91,96 @@ TEST(FailureDetector, ValidationErrors) {
   bad = {};
   bad.timeout = Seconds{-1.0};
   EXPECT_THROW(FailureDetector{bad}, std::invalid_argument);
+}
+
+// The full `now - last > limit` scan over every watched node: what
+// suspects(now) returns whether or not it skipped its scan.
+std::vector<NodeId> scan_suspects(const FailureDetector& d, Seconds now) {
+  std::vector<NodeId> out;
+  for (const NodeId n : d.watched())
+    if (now - d.last_heartbeat(n) > d.effective_timeout(n)) out.push_back(n);
+  return out;
+}
+
+// Queries at every watched node's deadline `last + limit`, one ulp either
+// side of it, and at `now`, each asked twice in a row.
+void expect_suspects_match_scan(FailureDetector& d, Seconds now,
+                                const std::string& where) {
+  std::vector<Seconds> probes{now};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const NodeId n : d.watched()) {
+    const double deadline =
+        d.last_heartbeat(n).value + d.effective_timeout(n).value;
+    probes.push_back(Seconds{deadline});
+    probes.push_back(Seconds{std::nextafter(deadline, -kInf)});
+    probes.push_back(Seconds{std::nextafter(deadline, kInf)});
+  }
+  for (const Seconds at : probes)
+    for (int repeat = 0; repeat < 2; ++repeat)
+      ASSERT_EQ(d.suspects(at), scan_suspects(d, at))
+          << where << " at t=" << at.value << " repeat " << repeat;
+}
+
+// suspects() skips its scan while no deadline can have passed; random
+// watch/unwatch/heartbeat/advance sequences check that the skip never
+// hides a suspect, in both detection modes.
+void run_detector_differential(DetectionMode mode) {
+  constexpr std::uint64_t kNodes = 8;
+  std::size_t suspect_answers = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    FailureDetector::Params p = params(1.0, 6.0);
+    p.mode = mode;
+    p.suspicion_sigma = 2.0;
+    p.min_samples = 2;
+    FailureDetector d(p);
+    // Each node answers heartbeat ticks only inside its own up windows.
+    std::vector<double> down_from(kNodes), down_for(kNodes);
+    for (std::uint64_t n = 0; n < kNodes; ++n) {
+      down_from[n] = rng.uniform(5.0, 80.0);
+      down_for[n] = rng.uniform(0.5, 12.0);
+    }
+    const auto alive = [&](NodeId n, Seconds t) {
+      const double since = t.value - down_from[n.value];
+      return since < 0.0 || since >= down_for[n.value];
+    };
+    double now = 0.0;
+    for (std::uint64_t n = 0; n < kNodes; n += 2) d.watch(NodeId{n}, Seconds{now});
+    for (int step = 0; step < 300; ++step) {
+      const NodeId node{rng.uniform_index(kNodes)};
+      switch (rng.uniform_index(6)) {
+        case 0:
+          d.watch(node, Seconds{now});
+          break;
+        case 1:
+          d.unwatch(node);
+          break;
+        case 2:
+        case 3:
+          // Jittered beats, some of them stale.
+          d.heartbeat(node, Seconds{now - rng.uniform(0.0, 1.5)});
+          break;
+        default:
+          now += rng.uniform(0.0, 1.7);
+          d.advance(Seconds{now}, alive);
+          break;
+      }
+      expect_suspects_match_scan(
+          d, Seconds{now}, "seed " + std::to_string(seed) + " step " +
+                               std::to_string(step));
+      if (::testing::Test::HasFatalFailure()) return;
+      suspect_answers += d.suspects(Seconds{now}).empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(suspect_answers, 100u);  // the sequences do produce suspects
+}
+
+TEST(FailureDetector, SkippedScanMatchesFullScanFixed) {
+  run_detector_differential(DetectionMode::Fixed);
+}
+
+TEST(FailureDetector, SkippedScanMatchesFullScanAccrual) {
+  run_detector_differential(DetectionMode::Accrual);
 }
 
 // Real transport: heartbeats travel as messages between ranks of the
